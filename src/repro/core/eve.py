@@ -38,7 +38,11 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 from repro.config import SystemConfig
-from repro.errors import EvaluationError, SynchronizationError
+from repro.errors import (
+    EvaluationError,
+    SynchronizationError,
+    UnknownRelationError,
+)
 from repro.esql import explain as explain_plans
 from repro.esql.ast import ViewDefinition
 from repro.esql.evaluator import evaluate_view
@@ -407,7 +411,7 @@ class EVESystem:
         """Validate, register, and (by default) materialize a view."""
         definition = parse_view(view) if isinstance(view, str) else view
         schemas = {
-            name: self.space.relation(name).schema
+            name: self._relation(name).schema
             for name in definition.relation_names
         }
         resolved = ViewValidator(schemas).resolve_view(definition)
@@ -415,12 +419,21 @@ class EVESystem:
         if materialize:
             self._extents[resolved.name] = evaluate_view(
                 resolved,
-                self.space.relations(),
+                self._relation,
                 self.space.mkb.statistics,
                 config=self.config.engine,
                 kernel_counters=self.kernel_counters,
             )
         return record
+
+    def _relation(self, name: str) -> Relation:
+        """The offered relation ``name``: the lookup every extent
+        materialization and EXPLAIN resolves its FROM clause through,
+        touching only the relations the view names."""
+        try:
+            return self.space.relation(name)
+        except UnknownRelationError:
+            raise EvaluationError(f"relation {name!r} not available") from None
 
     def extent(self, view_name: str) -> Relation:
         """The materialized extent of ``view_name``."""
@@ -436,7 +449,7 @@ class EVESystem:
         view = self.vkb.current(view_name)
         self._extents[view_name] = evaluate_view(
             view,
-            self.space.relations(),
+            self._relation,
             self.space.mkb.statistics,
             config=self.config.engine,
             kernel_counters=self.kernel_counters,
@@ -721,7 +734,7 @@ class EVESystem:
                 before = self.kernel_counters.snapshot()
                 self._extents[record.name] = evaluate_view(
                     record.current,
-                    self.space.relations(),
+                    self._relation,
                     self.space.mkb.statistics,
                     config=self.config.engine,
                     kernel_counters=self.kernel_counters,
@@ -1044,17 +1057,35 @@ class EVESystem:
                     ViewSynchronized(result.view_name, result.change, result)
                 )
 
-    def finalize_view(self, view_name: str) -> None:
-        """Rematerialize one replayed view's extent, once per batch."""
+    def finalize_view(self, view_name: str, like: str | None = None) -> None:
+        """Rematerialize one replayed view's extent, once per batch.
+
+        ``like`` names an already-finalized view of the same coalesced
+        class.  When its definition renamed to ``view_name`` is exactly
+        this view's, the extent is a renamed copy of its extent (never
+        an alias: direct-mode maintenance mutates extents in place);
+        otherwise the view is evaluated.
+        """
         record = self.vkb.record(view_name)
-        if record.alive and view_name in self._extents:
-            self._extents[view_name] = evaluate_view(
-                record.current,
-                self.space.relations(),
-                self.space.mkb.statistics,
-                config=self.config.engine,
-                kernel_counters=self.kernel_counters,
-            )
+        if not record.alive or view_name not in self._extents:
+            return
+        if like is not None:
+            leader = self.vkb.record(like)
+            extent = self._extents.get(like)
+            if (
+                extent is not None
+                and leader.alive
+                and record.current == leader.current.renamed(view_name)
+            ):
+                self._extents[view_name] = extent.copy(view_name)
+                return
+        self._extents[view_name] = evaluate_view(
+            record.current,
+            self._relation,
+            self.space.mkb.statistics,
+            config=self.config.engine,
+            kernel_counters=self.kernel_counters,
+        )
 
     def resume_deferred(
         self,
@@ -1140,7 +1171,7 @@ class EVESystem:
             )
         return explain_plans.explain_view(
             record.current,
-            self.space.relations(),
+            self._relation,
             self.space.mkb.statistics,
             config=self.config.engine,
             analyze=analyze,
@@ -1205,7 +1236,7 @@ class EVESystem:
             try:
                 plan = explain_plans.explain_view(
                     record.current,
-                    self.space.relations(),
+                    self._relation,
                     self.space.mkb.statistics,
                     config=self.config.engine,
                 )

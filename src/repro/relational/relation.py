@@ -281,8 +281,12 @@ class Relation:
         return Relation(self.schema, rows)
 
     def copy(self, new_name: str | None = None) -> "Relation":
-        """Independent copy, optionally renamed."""
+        """Independent copy, optionally renamed.
+
+        The rows are already validated against a schema with the same
+        attribute types, so they are adopted without re-validation.
+        """
         schema = (
             self.schema.rename_relation(new_name) if new_name else self.schema
         )
-        return Relation(schema, list(self._rows))
+        return Relation.from_validated(schema, self._rows)

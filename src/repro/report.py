@@ -124,8 +124,14 @@ REPORT_SCHEMA_VERSION = 4
 PLAN_CAPTURE_LIMIT = 16
 
 
+#: StageCounters' fields in declaration order; every one is a scalar,
+#: so a shallow read serializes exactly what ``dataclasses.asdict``
+#: would, without its recursive deep copy.
+_STAGE_FIELDS = tuple(field.name for field in dataclasses.fields(StageCounters))
+
+
 def _counters_dict(counters: StageCounters) -> dict[str, Any]:
-    payload = dataclasses.asdict(counters)
+    payload = {name: getattr(counters, name) for name in _STAGE_FIELDS}
     payload["seconds"] = round(payload["seconds"], 6)
     return payload
 
@@ -271,14 +277,14 @@ class SystemReport:
     @property
     def counters(self) -> StageCounters:
         """Call-merged pipeline counters (deferral accounting included)."""
-        merged = StageCounters()
+        total = StageCounters()
         for schedule in self.schedules:
-            merged = merged.merged(schedule.counters)
+            total.add(schedule.counters)
         if not self.schedules:
             for record in self.synchronizations:
                 if record.counters is not None:
-                    merged = merged.merged(record.counters)
-        return merged
+                    total.add(record.counters)
+        return total
 
     @property
     def degraded_views(self) -> tuple[str, ...]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 
-from repro.errors import UnknownRelationError, WorkspaceError
+from repro.errors import ConstraintError, UnknownRelationError, WorkspaceError
 from repro.misd.mkb import MetaKnowledgeBase
 from repro.misd.statistics import RelationStatistics
 from repro.relational.relation import Relation
@@ -87,10 +87,18 @@ class InformationSpace:
         relation: Relation,
         statistics: RelationStatistics | None = None,
     ) -> Relation:
-        """Host ``relation`` at the IS and register it in the MKB."""
+        """Host ``relation`` at the IS and register it in the MKB.
+
+        A relation the MKB rejects (its name is already registered) is
+        unhosted again, so the source never offers it.
+        """
         source = self.source(source_name)
         hosted = source.host(relation)
-        self.mkb.register_relation(relation.schema, source_name, statistics)
+        try:
+            self.mkb.register_relation(relation.schema, source_name, statistics)
+        except ConstraintError:
+            source.catalog.remove(relation.name)
+            raise
         return hosted
 
     # ------------------------------------------------------------------

@@ -32,7 +32,7 @@ Four :class:`SearchPolicy` flavours:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
@@ -133,13 +133,16 @@ class StageCounters:
                             #: re-materializations only; zero elsewhere)
     rows_selected: int = 0  #: rows those kernels kept
 
+    def add(self, other: "StageCounters") -> None:
+        """Accumulate ``other`` into these counters in place."""
+        for name in self.__dataclass_fields__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
     def merged(self, other: "StageCounters") -> "StageCounters":
-        return StageCounters(
-            *(
-                getattr(self, f.name) + getattr(other, f.name)
-                for f in self.__dataclass_fields__.values()
-            )
-        )
+        """A new instance holding the field-wise sum of both."""
+        total = replace(self)
+        total.add(other)
+        return total
 
     def __str__(self) -> str:
         text = (

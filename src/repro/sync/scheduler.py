@@ -293,12 +293,12 @@ class ScheduleReport:
     @property
     def counters(self) -> StageCounters:
         """Batch-merged pipeline counters (+ deferral accounting)."""
-        merged = StageCounters()
+        total = StageCounters()
         for result in self.results:
             if result.counters is not None:
-                merged = merged.merged(result.counters)
-        merged.deferred += len(self.deferred)
-        return merged
+                total.add(result.counters)
+        total.deferred += len(self.deferred)
+        return total
 
 
 # ----------------------------------------------------------------------
@@ -322,8 +322,13 @@ class SchedulerRuntime(Protocol):
         """Commit results produced elsewhere (fork / coalesced rebind)."""
         ...
 
-    def finalize_view(self, view_name: str) -> None:
-        """Rematerialize the view's extent after its worklist replay."""
+    def finalize_view(self, view_name: str, like: str | None = None) -> None:
+        """Rematerialize the view's extent after its worklist replay.
+
+        ``like`` names the first finalized view of the same coalesced
+        class; the runtime may copy its extent (renamed) instead of
+        evaluating when the two definitions match up to the name.
+        """
         ...
 
 
@@ -515,9 +520,17 @@ class SynchronizationScheduler:
             if not outcome.committed:
                 runtime.adopt_results(outcome.results)
             results.extend(outcome.results)
+        # A coalesced follower rematerializes as a renamed copy of the
+        # first finalized extent of its class (the runtime re-checks
+        # that the committed definitions still match).
+        class_leaders: dict[tuple, str] = {}
         for item in plan.items:
-            if item.view_name not in deferred_names:
-                runtime.finalize_view(item.view_name)
+            if item.view_name in deferred_names:
+                continue
+            leader = class_leaders.get(item.coalesce_key)
+            runtime.finalize_view(item.view_name, like=leader)
+            if self.coalesce and leader is None:
+                class_leaders[item.coalesce_key] = item.view_name
         return ScheduleReport(
             results=tuple(results),
             deferred=tuple(deferred),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import UnknownRelationError, WorkspaceError
+from repro.errors import ConstraintError, UnknownRelationError, WorkspaceError
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.space.changes import AddAttribute, AddRelation, DeleteRelation
@@ -32,6 +32,16 @@ class TestRegistration:
         assert space.owner_of("S").name == "IS2"
         with pytest.raises(UnknownRelationError):
             space.owner_of("Z")
+
+    def test_rejected_duplicate_is_not_offered(self, space):
+        with pytest.raises(ConstraintError):
+            space.register_relation(
+                "IS2", Relation(Schema("R", ["A", "B"]), [(9, 9)])
+            )
+        assert not space.source("IS2").offers("R")
+        assert space.relation("R") is space.relations()["R"]
+        assert space.relation("R").rows == [(1, 2)]
+        assert space.mkb.owner("R") == "IS1"
 
     def test_relations_snapshot(self, space):
         assert set(space.relations()) == {"R", "S"}

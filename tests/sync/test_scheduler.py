@@ -76,6 +76,7 @@ class RecordingRuntime:
         self.replayed = []
         self.threads = {}
         self.finalized = []
+        self.likes = {}
         self.adopted = []
         self.fail_for = set(fail_for)
 
@@ -89,8 +90,9 @@ class RecordingRuntime:
     def adopt_results(self, results):
         self.adopted.extend(results)
 
-    def finalize_view(self, view_name):
+    def finalize_view(self, view_name, like=None):
         self.finalized.append(view_name)
+        self.likes[view_name] = like
 
 
 def make_plan(rows, changes):
@@ -246,6 +248,28 @@ class TestDispatch:
         scheduler = SynchronizationScheduler(ScheduleConfig(executor=executor, max_workers=2))
         with pytest.raises(ValueError, match="injected failure"):
             scheduler.execute(plan, runtime)
+
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_followers_finalize_like_their_class_leader(self, coalesce):
+        plan = make_plan(
+            [
+                ("V0", (0,), 1.0, "a"),
+                ("V1", (0,), 1.0, "a"),
+                ("V2", (0,), 1.0, "b"),
+                ("V3", (0,), 1.0, "a"),
+                ("V4", (0, 1), 1.0, "a"),  # same definition, other worklist
+            ],
+            CHANGES,
+        )
+        runtime = RecordingRuntime()
+        SynchronizationScheduler(ScheduleConfig(coalesce=coalesce)).execute(
+            plan, runtime
+        )
+        expected = {"V1": "V0", "V3": "V0"} if coalesce else {}
+        assert runtime.finalized == ["V0", "V1", "V2", "V3", "V4"]
+        assert runtime.likes == {
+            name: expected.get(name) for name in runtime.finalized
+        }
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
