@@ -1,27 +1,23 @@
-"""Scheduler benchmarks: serial reference vs cost-aware parallel dispatch.
+"""Scheduler benchmarks: serial reference vs coalescing and sharded dispatch.
 
 Three timed scenarios over replacement-heavy salvage storms (every view
 needs a replacement search over a donor spectrum — the workload the
 cross-view scheduler exists for):
 
-1. **Parallel storm** — the serial reference scheduler replays every
-   affected view one after the other; the parallel scheduler dispatches
-   chain groups to a thread pool *and coalesces* structurally identical
-   searches (one search per definition-modulo-name + worklist class,
-   results rebound to every follower).  Committed winners, QC-Values,
-   and extents must be identical — the speedup is pure scheduling.  An
-   ablation row reports the thread executor with coalescing off, so the
-   JSON shows honestly where the win comes from on a given machine
-   (coalescing is CPU-count-independent; executor parallelism is not,
-   and equals ~1x on a single-core GIL-bound host).
+1. **Coalesced storm** — the serial reference scheduler replays every
+   affected view one after the other; the coalescing scheduler (still
+   serial) runs one search per structurally identical class
+   (definition modulo name + worklist) and rebinds the results to every
+   follower.  Committed winners, QC-Values, and extents must be
+   identical — the speedup is pure scheduling.
 2. **Sharded storm** — the 100k-view storm replayed as a sequential
-   batch stream through four executors: serial reference, threads +
-   coalescing, per-batch fork (``processes``), and the persistent
-   worker pool (``workers``) over a sharded VKB.  The workers lane
-   separates the cold first batch (pool spawn + per-shard snapshot
-   shipping) from the warm remainder, where only deltas and committed
-   rewritings cross the wire — warm batches must ship zero snapshot
-   bytes, and all lanes must commit byte-identical outcomes.
+   batch stream through three lanes: the serial reference, serial +
+   coalescing (informational, not gated), and the persistent worker
+   pool (``workers``) over a sharded VKB.  The workers lane separates
+   the cold first batch (pool spawn + per-shard snapshot shipping) from
+   the warm remainder, where only deltas and committed rewritings cross
+   the wire — warm batches must ship zero snapshot bytes, and all lanes
+   must commit byte-identical outcomes.
 3. **Deadline sweep** — the same storm under shrinking wall-clock
    budgets with ``degrade="first_legal"``: views scheduled past the
    budget fall back to the old-EVE first-legal policy
@@ -37,8 +33,9 @@ the repo root (via :func:`conftest.emit_json`).  Run directly::
     PYTHONPATH=src python benchmarks/bench_scheduler.py [--smoke]
 
 ``--smoke`` shrinks every scale so CI can assert the harness stays
-healthy in seconds.  Full runs enforce >=2x parallel speedup with
-identical outcomes.
+healthy in seconds.  Full runs enforce >=2x coalesced speedup and >=3x
+workers speedup over serial, with identical outcomes.  The payload's
+``config`` records the host (``python``, ``generated_at``, ``cpus``).
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 from time import perf_counter
 
@@ -93,35 +91,26 @@ def _run(scheduler: SynchronizationScheduler | None, **stress_args):
 
 
 # ----------------------------------------------------------------------
-# Scenario 1: serial reference vs parallel + coalescing scheduler
+# Scenario 1: serial reference vs the coalescing serial scheduler
 # ----------------------------------------------------------------------
-def bench_parallel_storm(workers: int, **stress_args) -> tuple[dict, dict]:
+def bench_coalesced_storm(**stress_args) -> tuple[dict, dict]:
     serial_eve, serial_results, serial_seconds = _run(None, **stress_args)
-
-    parallel = SynchronizationScheduler(
-        ScheduleConfig(executor="threads", max_workers=workers, coalesce=True)
-    )
-    parallel_eve, parallel_results, parallel_seconds = _run(
-        parallel, **stress_args
+    coalescing = SynchronizationScheduler(ScheduleConfig(coalesce=True))
+    coalesced_eve, coalesced_results, coalesced_seconds = _run(
+        coalescing, **stress_args
     )
 
-    # Ablation: executor parallelism alone, no search coalescing.
-    threads_only = SynchronizationScheduler(
-        ScheduleConfig(executor="threads", max_workers=workers)
-    )
-    _, _, threads_only_seconds = _run(threads_only, **stress_args)
-
-    outcomes_equal = _fingerprint(serial_eve) == _fingerprint(parallel_eve)
+    outcomes_equal = _fingerprint(serial_eve) == _fingerprint(coalesced_eve)
     qc_equal = [
         (r.view_name, r.chosen.qc if r.chosen else None)
         for r in serial_results
     ] == [
         (r.view_name, r.chosen.qc if r.chosen else None)
-        for r in parallel_results
+        for r in coalesced_results
     ]
     # The scheduling facts come from the run's SystemReport — the
     # serializable surface the system now exposes for exactly this.
-    system_report = parallel_eve.last_report.to_dict()
+    system_report = coalesced_eve.last_report.to_dict()
     (batch,) = system_report["schedule"]["batches"]
     storm = {
         "views": stress_args.get("views", 1000),
@@ -130,21 +119,12 @@ def bench_parallel_storm(workers: int, **stress_args) -> tuple[dict, dict]:
             system_report["synchronization"]["views"]
         ),
         "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
+        "coalesced_seconds": coalesced_seconds,
         "speedup": (
-            serial_seconds / parallel_seconds if parallel_seconds else 0.0
-        ),
-        "threads_only_seconds": threads_only_seconds,
-        "threads_only_speedup": (
-            serial_seconds / threads_only_seconds
-            if threads_only_seconds
-            else 0.0
+            serial_seconds / coalesced_seconds if coalesced_seconds else 0.0
         ),
         "outcomes_equal": outcomes_equal and qc_equal,
         "coalesced_searches": batch["coalesced"],
-        "workers": batch["workers"],
-        "executor": batch["executor"],
-        "cpu_count": os.cpu_count() or 1,
     }
     return storm, system_report
 
@@ -158,7 +138,7 @@ def _replay_sharded(scheduler, **storm_args):
     Returns the per-batch wall clocks, the committed (view, QC) pairs,
     the per-batch :class:`~repro.report.SystemReport` payloads, and the
     final VKB fingerprint — everything the lane comparison needs, with
-    the system itself released so four lanes never coexist in memory.
+    the system itself released so the lanes never coexist in memory.
     """
     scenario = build_sharded_storm_scenario(**storm_args)
     eve = EVESystem(space=scenario.space)
@@ -196,10 +176,8 @@ def _shard_totals(report: dict) -> dict:
     return totals
 
 
-def bench_sharded_storm(
-    shards: int, workers: int, **storm_args
-) -> tuple[dict, dict]:
-    """Serial vs threads vs fork vs persistent workers on the storm.
+def bench_sharded_storm(shards: int, **storm_args) -> tuple[dict, dict]:
+    """Serial vs serial + coalescing vs persistent workers on the storm.
 
     All lanes replay the identical batch stream; committed winners,
     QC-Values, and VKB fingerprints must be byte-identical.  The
@@ -207,43 +185,21 @@ def bench_sharded_storm(
     shipping) from the warm remainder (delta shipping only), and
     asserts the warm batches ship no snapshot bytes at all.
     """
-    from repro.sync.scheduler import _fork_available
-
     serial_seconds, serial_qc, _, serial_fp = _replay_sharded(
         None, **storm_args
     )
 
-    threads = SynchronizationScheduler(
-        ScheduleConfig(executor="threads", max_workers=workers, coalesce=True)
+    coalescing = SynchronizationScheduler(ScheduleConfig(coalesce=True))
+    coalesced_seconds, coalesced_qc, _, coalesced_fp = _replay_sharded(
+        coalescing, **storm_args
     )
-    threads_seconds, threads_qc, _, threads_fp = _replay_sharded(
-        threads, **storm_args
+    coalesced_equal = (
+        coalesced_fp == serial_fp and coalesced_qc == serial_qc
     )
-    threads_equal = threads_fp == serial_fp and threads_qc == serial_qc
-    del threads_fp
-
-    fork_total = None
-    fork_equal = True
-    if _fork_available():
-        fork = SynchronizationScheduler(
-            ScheduleConfig(
-                executor="processes", max_workers=workers, coalesce=True
-            )
-        )
-        fork_seconds, fork_qc, _, fork_fp = _replay_sharded(
-            fork, **storm_args
-        )
-        fork_total = sum(fork_seconds)
-        fork_equal = fork_fp == serial_fp and fork_qc == serial_qc
-        del fork_fp
+    del coalesced_fp
 
     pool = SynchronizationScheduler(
-        ScheduleConfig(
-            executor="workers",
-            shards=shards,
-            max_workers=workers,
-            coalesce=True,
-        )
+        ScheduleConfig(executor="workers", shards=shards, coalesce=True)
     )
     try:
         workers_seconds, workers_qc, workers_reports, workers_fp = (
@@ -265,7 +221,7 @@ def bench_sharded_storm(
             warm_totals[field] += value
 
     serial_total = sum(serial_seconds)
-    threads_total = sum(threads_seconds)
+    coalesced_total = sum(coalesced_seconds)
     workers_total = sum(workers_seconds)
     workers_warm = sum(workers_seconds[1:])
     serial_warm = sum(serial_seconds[1:])
@@ -275,13 +231,9 @@ def bench_sharded_storm(
         "shards": shards,
         "batches": len(serial_seconds),
         "serial_seconds": serial_total,
-        "threads_seconds": threads_total,
-        "threads_speedup": (
-            serial_total / threads_total if threads_total else 0.0
-        ),
-        "fork_seconds": fork_total,
-        "fork_speedup": (
-            serial_total / fork_total if fork_total else None
+        "coalesced_seconds": coalesced_total,
+        "coalesced_speedup": (
+            serial_total / coalesced_total if coalesced_total else 0.0
         ),
         "workers_seconds": workers_total,
         "workers_cold_seconds": workers_seconds[0],
@@ -303,8 +255,7 @@ def bench_sharded_storm(
         "worker_wall_seconds": round(
             cold_totals["worker_seconds"] + warm_totals["worker_seconds"], 6
         ),
-        "outcomes_equal": workers_equal and threads_equal and fork_equal,
-        "cpu_count": os.cpu_count() or 1,
+        "outcomes_equal": workers_equal and coalesced_equal,
     }
     # The last warm batch's report carries the per-shard dispatch rows
     # the schema-v2 validator pins.
@@ -314,9 +265,7 @@ def bench_sharded_storm(
 # ----------------------------------------------------------------------
 # Scenario 3: QC achieved vs wall-clock budget
 # ----------------------------------------------------------------------
-def bench_deadline_sweep(
-    serial_seconds: float, workers: int, **stress_args
-) -> dict:
+def bench_deadline_sweep(serial_seconds: float, **stress_args) -> dict:
     """Run the storm under shrinking budgets; report QC vs budget."""
     sweep = {}
     fractions = {"unbounded": None, "half": 0.5, "tenth": 0.1, "zero": 0.0}
@@ -324,11 +273,7 @@ def bench_deadline_sweep(
         budget = None if fraction is None else serial_seconds * fraction
         scheduler = SynchronizationScheduler(
             ScheduleConfig(
-                executor="threads",
-                max_workers=workers,
-                coalesce=True,
-                budget=budget,
-                degrade="first_legal",
+                coalesce=True, budget=budget, degrade="first_legal"
             )
         )
         eve, results, seconds = _run(scheduler, **stress_args)
@@ -386,7 +331,6 @@ def main(argv=None) -> None:
             views=2000, view_relations=40, donors_per_relation=3,
             view_attributes=2, batches=2, tail_changes=1,
         )
-        workers = 2
         shards = 2
     else:
         stress_args = dict(
@@ -397,10 +341,9 @@ def main(argv=None) -> None:
             views=100_000, view_relations=200, donors_per_relation=3,
             view_attributes=2, batches=4, tail_changes=1,
         )
-        workers = min(8, max(2, (os.cpu_count() or 1)))
         shards = 4
 
-    storm, system_report = bench_parallel_storm(workers, **stress_args)
+    storm, system_report = bench_coalesced_storm(**stress_args)
     emit(
         format_table(
             ["metric", "value"],
@@ -408,24 +351,17 @@ def main(argv=None) -> None:
                 ["views", storm["views"]],
                 ["synchronizations", storm["synchronizations"]],
                 ["serial reference (s)", f"{storm['serial_seconds']:.4f}"],
-                ["parallel scheduler (s)", f"{storm['parallel_seconds']:.4f}"],
+                ["serial + coalesce (s)", f"{storm['coalesced_seconds']:.4f}"],
                 ["speedup", f"{storm['speedup']:.1f}x"],
-                [
-                    "threads w/o coalescing (s)",
-                    f"{storm['threads_only_seconds']:.4f} "
-                    f"({storm['threads_only_speedup']:.1f}x)",
-                ],
                 ["coalesced searches", storm["coalesced_searches"]],
-                ["workers / cpus", f"{storm['workers']} / {storm['cpu_count']}"],
+                ["cpus", os.cpu_count() or 1],
                 ["outcomes identical", storm["outcomes_equal"]],
             ],
-            title="Parallel scheduler (1k-view salvage storm)",
+            title="Coalescing scheduler (1k-view salvage storm)",
         )
     )
 
-    sharded, sharded_report = bench_sharded_storm(
-        shards, workers, **storm_args
-    )
+    sharded, sharded_report = bench_sharded_storm(shards, **storm_args)
     emit(
         format_table(
             ["metric", "value"],
@@ -434,16 +370,9 @@ def main(argv=None) -> None:
                 ["shards / batches", f"{sharded['shards']} / {sharded['batches']}"],
                 ["serial reference (s)", f"{sharded['serial_seconds']:.4f}"],
                 [
-                    "threads + coalesce (s)",
-                    f"{sharded['threads_seconds']:.4f} "
-                    f"({sharded['threads_speedup']:.1f}x)",
-                ],
-                [
-                    "fork + coalesce (s)",
-                    "unavailable"
-                    if sharded["fork_seconds"] is None
-                    else f"{sharded['fork_seconds']:.4f} "
-                    f"({sharded['fork_speedup']:.1f}x)",
+                    "serial + coalesce (s)",
+                    f"{sharded['coalesced_seconds']:.4f} "
+                    f"({sharded['coalesced_speedup']:.1f}x)",
                 ],
                 [
                     "workers total (s)",
@@ -467,9 +396,7 @@ def main(argv=None) -> None:
         )
     )
 
-    sweep = bench_deadline_sweep(
-        storm["serial_seconds"], workers, **stress_args
-    )
+    sweep = bench_deadline_sweep(storm["serial_seconds"], **stress_args)
     emit(
         format_table(
             ["budget", "seconds", "synced", "degraded", "QC achieved"],
@@ -506,7 +433,7 @@ def main(argv=None) -> None:
     )
 
     if not storm["outcomes_equal"]:
-        raise SystemExit("parallel scheduler diverged from serial outcomes")
+        raise SystemExit("coalescing scheduler diverged from serial outcomes")
     if not sharded["outcomes_equal"]:
         raise SystemExit("sharded workers diverged from serial outcomes")
     if sharded["warm_snapshot_bytes"] != 0:
@@ -519,7 +446,7 @@ def main(argv=None) -> None:
     if not args.smoke:
         if storm["speedup"] < 2.0:
             raise SystemExit(
-                f"parallel speedup {storm['speedup']:.1f}x < 2x"
+                f"coalesced speedup {storm['speedup']:.1f}x < 2x"
             )
         if sharded["workers_speedup"] < 3.0:
             raise SystemExit(
@@ -535,12 +462,17 @@ def main(argv=None) -> None:
     path = emit_json(
         "scheduler",
         {
-            "parallel_storm": storm,
+            "coalesced_storm": storm,
             "sharded_storm": {**sharded, "system_report": sharded_report},
             "deadline_sweep": sweep,
             "system_report": system_report,
             "config": {
                 "smoke": args.smoke,
+                "python": sys.version.split()[0],
+                "generated_at": time.strftime(
+                    "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
+                ),
+                "cpus": os.cpu_count() or 1,
                 **stress_args,
                 "sharded": {"shards": shards, **storm_args},
             },

@@ -52,7 +52,7 @@ GATED_SPEEDUPS = {
     ),
     "sync": (("batched_dispatch", "speedup"),),
     "scheduler": (
-        ("parallel_storm", "speedup"),
+        ("coalesced_storm", "speedup"),
         ("sharded_storm", "workers_speedup"),
     ),
     "maintenance": (
@@ -73,6 +73,10 @@ COLUMNAR_SPEEDUP_FLOOR = 3.0
 #: Absolute floor of the persistent-worker-vs-serial speedup in the
 #: sharded storm on full (non-smoke) runs — the PR-7 acceptance gate.
 WORKERS_SPEEDUP_FLOOR = 3.0
+
+#: Host facts a full scheduler payload must record in its ``config``,
+#: so its timings can be read against the machine that produced them.
+SCHEDULER_HOST_FIELDS = ("python", "generated_at", "cpus")
 
 #: Absolute ceiling of storm-time read p99 relative to idle read p99 on
 #: full (non-smoke) runs — the PR-9 serving-plane acceptance gate:
@@ -355,17 +359,18 @@ def validate_scheduler(payload: dict) -> None:
         payload,
         "BENCH_scheduler",
         {
-            "parallel_storm": (
+            "coalesced_storm": (
                 "speedup",
                 "outcomes_equal",
                 "serial_seconds",
-                "parallel_seconds",
+                "coalesced_seconds",
                 "coalesced_searches",
             ),
             "sharded_storm": (
                 "workers_speedup",
                 "outcomes_equal",
                 "serial_seconds",
+                "coalesced_seconds",
                 "workers_seconds",
                 "workers_cold_seconds",
                 "workers_warm_seconds",
@@ -377,8 +382,8 @@ def validate_scheduler(payload: dict) -> None:
         },
     )
     _invariant(
-        payload["parallel_storm"]["outcomes_equal"],
-        "parallel scheduler outcomes diverged",
+        payload["coalesced_storm"]["outcomes_equal"],
+        "coalescing scheduler outcomes diverged",
     )
     sharded = payload["sharded_storm"]
     _invariant(
@@ -397,6 +402,14 @@ def validate_scheduler(payload: dict) -> None:
     # Smoke payloads run the lane at toy scale where pool overhead
     # dominates, so only the parity/shipping invariants apply there.
     if not is_smoke(payload):
+        config = payload.get("config", {})
+        missing = [
+            key for key in SCHEDULER_HOST_FIELDS if key not in config
+        ]
+        _invariant(
+            not missing,
+            f"full run records no host {', '.join(missing)} in config",
+        )
         _invariant(
             sharded["workers_speedup"] >= WORKERS_SPEEDUP_FLOOR,
             f"workers speedup {sharded['workers_speedup']}x below the "

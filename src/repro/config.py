@@ -14,7 +14,7 @@ declarative surface:
   (``sync.pipeline`` / ``sync.generators``): search policy, generator
   chain, top-k width.
 * :class:`ScheduleConfig` — how batch synchronization is *dispatched*
-  (``sync.scheduler``): executor, workers, wall-clock / modeled-unit
+  (``sync.scheduler``): executor, shards, wall-clock / modeled-unit
   budgets, degradation mode, ordering, coalescing.
 * :class:`MaintenanceConfig` — how deltas are *propagated*
   (``maintenance.simulator``): tuple vs dict delta plane, index probes.
@@ -57,7 +57,7 @@ __all__ = [
 _ENGINES = ("indexed", "naive")
 _ENGINE_REPRESENTATIONS = ("tuple", "columnar")
 _REPRESENTATIONS = ("tuple", "dict", "columnar")
-_EXECUTORS = ("serial", "threads", "processes", "workers")
+_EXECUTORS = ("serial", "workers")
 _DEGRADE_MODES = ("first_legal", "defer")
 _ORDERS = ("cost", "plan")
 
@@ -223,14 +223,15 @@ class ScheduleConfig:
     (:class:`~repro.sync.scheduler.SynchronizationScheduler`).
 
     Field semantics are the scheduler's: ``executor`` in ``serial`` |
-    ``threads`` | ``processes`` | ``workers``; ``budget`` in wall-clock
-    seconds and ``budget_units`` in modeled Eq. 24 cost units (either
-    exhausts the other); ``degrade`` in ``first_legal`` | ``defer``;
-    ``order`` in ``cost`` | ``plan``; ``coalesce`` runs one search per
-    structural equivalence class; ``shards`` partitions the VKB for the
-    persistent-worker pool (``executor="workers"`` only; one long-lived
-    spawn-safe process per shard holds its extents and caches across
-    batches).
+    ``workers``; ``budget`` in wall-clock seconds and ``budget_units``
+    in modeled Eq. 24 cost units (either exhausts the other);
+    ``degrade`` in ``first_legal`` | ``defer``; ``order`` in ``cost`` |
+    ``plan``; ``coalesce`` runs one search per structural equivalence
+    class; ``shards`` partitions the VKB for the persistent-worker pool
+    (``executor="workers"`` only; one long-lived spawn-safe process per
+    shard holds its extents and caches across batches).
+    ``max_workers`` is validated (>= 1) but no executor reads it; it
+    stays only so existing profiles that set it keep loading.
     """
 
     executor: str = "serial"
@@ -307,7 +308,7 @@ class SystemConfig:
       probes, serial plan-order dispatch, exhaustive search: the
       everything-eager parity plane every optimization is compared to.
     * :meth:`fast` — indexed engine, tuple delta plane, pruned search,
-      threaded coalescing dispatch: the production-shaped plane.
+      serial coalescing dispatch: the production-shaped plane.
     * :meth:`columnar` — :meth:`fast` with evaluation and delta
       propagation on the column-at-a-time kernel plane.
     * :meth:`bounded` — :meth:`fast` under a budget (modeled cost units
@@ -355,29 +356,24 @@ class SystemConfig:
     @classmethod
     def fast(cls) -> "SystemConfig":
         """Indexed / tuple / pruned / coalesced: the production plane."""
-        return cls(
-            schedule=ScheduleConfig(executor="threads", coalesce=True),
-        )
+        return cls(schedule=ScheduleConfig(coalesce=True))
 
     @classmethod
     def columnar(cls) -> "SystemConfig":
         """:meth:`fast` with both planes on the columnar representation."""
         return cls(
             engine=EngineConfig(representation="columnar"),
-            schedule=ScheduleConfig(executor="threads", coalesce=True),
+            schedule=ScheduleConfig(coalesce=True),
             maintenance=MaintenanceConfig(representation="columnar"),
         )
 
     @classmethod
-    def sharded(cls, shards: int, max_workers: int | None = None) -> "SystemConfig":
+    def sharded(cls, shards: int) -> "SystemConfig":
         """:meth:`fast` with the persistent-worker pool over ``shards``
         VKB shards (long-lived spawn-safe processes, delta shipping)."""
         return cls(
             schedule=ScheduleConfig(
-                executor="workers",
-                shards=shards,
-                max_workers=max_workers,
-                coalesce=True,
+                executor="workers", shards=shards, coalesce=True
             ),
         )
 
@@ -395,7 +391,6 @@ class SystemConfig:
         )
         return cls(
             schedule=ScheduleConfig(
-                executor="threads",
                 coalesce=True,
                 budget=budget,
                 budget_units=budget_units,

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import threading
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
@@ -207,10 +205,6 @@ class EVESystem:
         self.auto_synchronize = auto_synchronize
         #: Typed event bus; see :meth:`subscribe`.
         self.events = EventBus()
-        # Fork-based executors replay searches in child processes; an
-        # event observed there would fire again when the parent adopts
-        # the results, so emission is suppressed outside the owner pid.
-        self._owner_pid = os.getpid()
         #: Batch executor built from ``config.schedule``: the default
         #: (serial, cost-ordered, no budget) reproduces the sequential
         #: reference exactly.
@@ -225,9 +219,6 @@ class EVESystem:
         #: sites (define/refresh/rematerialize); non-zero only when the
         #: engine runs the columnar plane.
         self.kernel_counters = KernelCounters()
-        # Guards VKB commits and extent bookkeeping when a parallel
-        # executor replays independent views concurrently.
-        self._commit_lock = threading.Lock()
         #: Crash-consistency journal: inside apply_changes, every
         #: committed result is appended here the moment it lands so an
         #: executor exception cannot desynchronize VKB and sync log.
@@ -273,14 +264,8 @@ class EVESystem:
             self.events.emit(CacheInvalidated("capability-change"))
 
     def _observed(self, event_type) -> bool:
-        """Whether an event of this type should be built and emitted.
-
-        False in fork-executor children: the parent emits exactly once
-        when it adopts the child's results.
-        """
-        return os.getpid() == self._owner_pid and self.events.wants(
-            event_type
-        )
+        """Whether an event of this type should be built and emitted."""
+        return self.events.wants(event_type)
 
     # ------------------------------------------------------------------
     # Online serving plane (MVCC snapshots)
@@ -380,8 +365,7 @@ class EVESystem:
 
         ``event_type`` is one of the :mod:`repro.events` classes (or its
         name); subscribing to :class:`~repro.events.SystemEvent` is the
-        firehose.  Handlers run synchronously on the emitting thread —
-        under a parallel scheduler that may be a worker thread — and
+        firehose.  Handlers run synchronously on the emitting thread and
         must not raise.  Returns ``handler`` (decorator-friendly).
         """
         return self.events.subscribe(event_type, handler)
@@ -757,15 +741,13 @@ class EVESystem:
             record.current, change, workload=workload, policy=policy
         )
         if outcome.chosen is None:
-            with self._commit_lock:
-                self.vkb.mark_undefined(record.name)
-                self._extents.pop(record.name, None)
+            self.vkb.mark_undefined(record.name)
+            self._extents.pop(record.name, None)
             result = SynchronizationResult(
                 record.name, change, [], None, outcome.counters, outcome.policy
             )
         else:
-            with self._commit_lock:
-                self.vkb.apply_rewriting(outcome.chosen.rewriting)
+            self.vkb.apply_rewriting(outcome.chosen.rewriting)
             result = SynchronizationResult(
                 record.name,
                 change,
@@ -807,7 +789,7 @@ class EVESystem:
         Each sub-batch is staged into an immutable
         :class:`~repro.sync.scheduler.BatchWorkPlan` and handed to the
         ``scheduler`` (argument, else :attr:`scheduler`) for cost-aware,
-        possibly parallel/budgeted dispatch; per-sub-batch
+        possibly sharded/budgeted dispatch; per-sub-batch
         :class:`~repro.sync.scheduler.ScheduleReport`\\ s land in
         :attr:`last_schedule`.  Whatever the executor, results and the
         synchronization log arrive in plan (view definition) order, and
@@ -1037,20 +1019,19 @@ class EVESystem:
     ) -> None:
         """Commit replay results produced outside the live VKB.
 
-        Used by the process executor (results searched in a forked
-        child) and by coalesced followers (results rebound from a
-        structurally identical leader): replays exactly the commits
+        Used by the workers executor (results searched in a shard's
+        worker process) and by coalesced followers (results rebound from
+        a structurally identical leader): replays exactly the commits
         :meth:`_synchronize_record` would have made.
         """
-        with self._commit_lock:
-            for result in results:
-                if result.chosen is None:
-                    self.vkb.mark_undefined(result.view_name)
-                    self._extents.pop(result.view_name, None)
-                else:
-                    self.vkb.apply_rewriting(result.chosen.rewriting)
-                if self._batch_journal is not None:
-                    self._batch_journal.append(result)
+        for result in results:
+            if result.chosen is None:
+                self.vkb.mark_undefined(result.view_name)
+                self._extents.pop(result.view_name, None)
+            else:
+                self.vkb.apply_rewriting(result.chosen.rewriting)
+            if self._batch_journal is not None:
+                self._batch_journal.append(result)
         if self._observed(ViewSynchronized):
             for result in results:
                 self.events.emit(

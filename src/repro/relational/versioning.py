@@ -28,11 +28,10 @@ acquisition to increment a refcount, and every subsequent
 :meth:`ExtentSnapshot.extent` call is a plain dict lookup against an
 immutable mapping.
 
-Thread/fork safety: all store mutations take the internal lock.  The
-fork-based process executor can fork while a reader thread briefly
-holds that lock, so the store re-arms its lock in fork children via a
-module-level ``os.register_at_fork`` hook (children never serve reads;
-they only replay synchronizations).
+Thread/fork safety: all store mutations take the internal lock.  A
+serving process may fork while a reader thread briefly holds that
+lock, so the store re-arms its lock in fork children via a
+module-level ``os.register_at_fork`` hook.
 
 The store keeps the mutating half of the mapping API (``get`` /
 ``pop`` / ``update`` / item access) so the synchronization machinery —
@@ -55,8 +54,8 @@ __all__ = ["ExtentSnapshot", "ExtentStore"]
 
 
 #: Live stores whose locks must be re-armed in fork children (a reader
-#: thread may hold a store lock at the instant the process executor
-#: forks; the child would otherwise deadlock on its inherited copy).
+#: thread may hold a store lock at the instant a serving process forks;
+#: the child would otherwise deadlock on its inherited copy).
 _LIVE_STORES: "weakref.WeakSet[ExtentStore]" = weakref.WeakSet()
 _AT_FORK_ARMED = False
 
@@ -184,8 +183,8 @@ class ExtentStore:
         _arm_at_fork()
 
     def _rearm_after_fork(self) -> None:
-        # Fork children replay searches only; any pin state belongs to
-        # the parent's reader threads, which did not cross the fork.
+        # Any pin state belongs to the parent's reader threads, which
+        # did not cross the fork.
         self._lock = threading.Lock()
 
     # -- mapping API (writer-side: overlay over current) ---------------

@@ -32,7 +32,7 @@ consumed by the benchmark drivers in place of their hand-rolled dicts.
            "coalesced": int, "wall_seconds": float,
            "budget": float | null, "budget_units": float | null,
            "units_spent": float,
-           "executor_fallback": str | null,
+           "executor_fallback": null,
            "degraded": [view, ...], "deferred": [view, ...],
            "shards": [{<ShardDispatch fields>}, ...]},
           ...
@@ -378,7 +378,9 @@ class SystemReport:
                         "budget": schedule.budget,
                         "budget_units": schedule.budget_units,
                         "units_spent": round(schedule.units_spent, 6),
-                        "executor_fallback": schedule.executor_fallback,
+                        # Constant null, kept so committed v4 payloads
+                        # still validate; removed at the next schema bump.
+                        "executor_fallback": None,
                         "degraded": list(schedule.degraded_views),
                         "deferred": [
                             record.view_name

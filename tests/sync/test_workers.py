@@ -320,43 +320,20 @@ class TestCrashLifecycle:
 
 
 # ----------------------------------------------------------------------
-# processes -> serial fallback is loud, once
+# The v4 report keeps a constant null executor_fallback key
 # ----------------------------------------------------------------------
 class TestForkFallback:
-    def test_fallback_warns_once_and_is_recorded(self, monkeypatch):
-        from repro.sync import scheduler as scheduler_module
-
-        monkeypatch.setattr(
-            scheduler_module, "_fork_available", lambda: False
-        )
-        monkeypatch.setattr(scheduler_module, "_FALLBACK_WARNED", False)
-        eve = build_system(
-            SystemConfig().with_schedule(executor="processes")
-        )
-        with pytest.warns(RuntimeWarning, match="fork"):
-            eve.apply_changes([RenameAttribute("IS0", "R0", "A", "A2")])
-        (report,) = eve.last_schedule
-        assert report.executor == "serial"
-        assert report.executor_fallback == "processes"
-
-        # Once per process, not once per batch.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            eve.apply_changes([RenameAttribute("IS0", "R0", "A2", "A3")])
-        assert eve.last_schedule[0].executor_fallback == "processes"
-
     def test_no_fallback_marker_on_native_executors(self):
         eve = build_system()
         eve.apply_changes([RenameAttribute("IS0", "R0", "A", "A2")])
         (report,) = eve.last_schedule
-        assert report.executor_fallback is None
+        (batch,) = eve.last_report.to_dict()["schedule"]["batches"]
+        assert batch["executor_fallback"] is None
         assert report.shards == ()
 
 
 # ----------------------------------------------------------------------
-# Dedupe wire rows (shared by the fork and workers executors)
+# Dedupe wire rows of the workers executor
 # ----------------------------------------------------------------------
 class _StubItem:
     def __init__(self, order, key, name):
@@ -400,7 +377,10 @@ class TestDedupeRows:
         (outcome,) = outcomes
         assert outcome.item is item
         assert outcome.results == ("payload",)
-        assert outcome.committed is False
+        # Per-row timing and flags survive the round trip.
+        assert (outcome.seconds, outcome.degraded, outcome.coalesced) == (
+            0.25, False, False,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -408,14 +388,14 @@ class TestDedupeRows:
 # ----------------------------------------------------------------------
 class TestConfigSurface:
     def test_sharded_preset_round_trips(self):
-        config = SystemConfig.sharded(4, max_workers=4)
+        config = SystemConfig.sharded(4)
         assert config.schedule.executor == "workers"
         assert config.schedule.shards == 4
         assert SystemConfig.from_dict(config.to_dict()) == config
 
     def test_single_group_batches_still_use_the_pool(self):
-        # The serial demotion for tiny batches must not bypass the
-        # pool: mirrors have to see every batch or they drift.
+        # A single-group batch still goes through the pool: mirrors
+        # have to see every batch or they drift.
         eve = build_system(
             SystemConfig(
                 schedule=ScheduleConfig(executor="workers", shards=2)

@@ -64,6 +64,12 @@ class TestValidation:
             lambda: SearchConfig(policy="top_k(2)", top_k=3),
             lambda: SearchConfig(generators=("rename", "teleport")),
             lambda: ScheduleConfig(executor="rayon"),
+            # Deleted executors: an old sweep file must fail loudly.
+            lambda: ScheduleConfig(executor="threads"),
+            lambda: ScheduleConfig(executor="processes"),
+            lambda: SystemConfig.from_dict(
+                {"schedule": {"executor": "threads"}}
+            ),
             lambda: ScheduleConfig(degrade="drop"),
             lambda: ScheduleConfig(order="random"),
             lambda: ScheduleConfig(budget=-1.0),
@@ -87,6 +93,9 @@ class TestValidation:
             "top_k-conflict",
             "generator-name",
             "executor-name",
+            "executor-threads",
+            "executor-processes",
+            "executor-threads-from-dict",
             "degrade-name",
             "order-name",
             "budget-negative",
@@ -191,7 +200,7 @@ class TestConfigSpellings:
         # The one-release DeprecationWarning shims were removed; the old
         # spellings now fail loudly as unexpected keyword arguments.
         with pytest.raises(TypeError):
-            SynchronizationScheduler(executor="threads")
+            SynchronizationScheduler(executor="serial")
         with pytest.raises(TypeError):
             ViewMaintainer(tiny_space(), use_index=False)
         with pytest.raises(TypeError):
@@ -209,7 +218,7 @@ class TestConfigSpellings:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             EVESystem(config=SystemConfig.fast())
-            SynchronizationScheduler(ScheduleConfig(executor="threads"))
+            SynchronizationScheduler(ScheduleConfig(coalesce=True))
             ViewMaintainer(
                 tiny_space(),
                 config=MaintenanceConfig(representation="dict"),

@@ -42,7 +42,7 @@ class TestStructuralValidation:
 
     def test_violated_invariant_rejected(self):
         payload = committed("scheduler")
-        payload["parallel_storm"]["outcomes_equal"] = False
+        payload["coalesced_storm"]["outcomes_equal"] = False
         with pytest.raises(BenchValidationError, match="diverged"):
             validate_payload("scheduler", payload)
 
@@ -81,6 +81,21 @@ class TestStructuralValidation:
         payload["sharded_storm"]["warm_snapshot_bytes"] = 4096
         with pytest.raises(BenchValidationError, match="snapshot"):
             validate_payload("scheduler", payload)
+
+    def test_full_scheduler_runs_record_their_host(self):
+        payload = committed("scheduler")
+        payload["config"]["smoke"] = False
+        for field in ("python", "generated_at", "cpus"):
+            payload["config"].setdefault(field, "x")
+        validate_payload("scheduler", payload)
+        for field in ("python", "generated_at", "cpus"):
+            stripped = json.loads(json.dumps(payload))
+            del stripped["config"][field]
+            with pytest.raises(BenchValidationError, match=field):
+                validate_payload("scheduler", stripped)
+            # Smoke payloads are not held to it.
+            stripped["config"]["smoke"] = True
+            validate_payload("scheduler", stripped)
 
     def test_workers_floor_gates_full_runs_only(self):
         payload = committed("scheduler")
@@ -290,14 +305,14 @@ class TestRegressionGate:
     def baseline(self):
         return {
             "config": {"smoke": False},
-            "parallel_storm": {"speedup": 6.0},
+            "coalesced_storm": {"speedup": 6.0},
             "sharded_storm": {"workers_speedup": 4.0},
         }
 
     def test_within_tolerance_passes(self):
         current = {
             "config": {"smoke": False},
-            "parallel_storm": {"speedup": 4.5},
+            "coalesced_storm": {"speedup": 4.5},
             "sharded_storm": {"workers_speedup": 3.5},
         }
         status, messages = check_regression(
@@ -309,7 +324,7 @@ class TestRegressionGate:
     def test_large_regression_fails(self):
         current = {
             "config": {"smoke": False},
-            "parallel_storm": {"speedup": 2.0},
+            "coalesced_storm": {"speedup": 2.0},
             "sharded_storm": {"workers_speedup": 4.0},
         }
         status, messages = check_regression(
@@ -321,7 +336,7 @@ class TestRegressionGate:
     def test_smoke_vs_full_is_an_explicit_skip(self):
         current = {
             "config": {"smoke": True},
-            "parallel_storm": {"speedup": 0.5},
+            "coalesced_storm": {"speedup": 0.5},
         }
         status, messages = check_regression(
             "scheduler", current, self.baseline()
@@ -340,7 +355,7 @@ class TestRegressionGate:
         status, _ = check_regression(
             "scheduler",
             {
-                "parallel_storm": {"speedup": 5.9},
+                "coalesced_storm": {"speedup": 5.9},
                 "sharded_storm": {"workers_speedup": 4.1},
             },
             self.baseline(),

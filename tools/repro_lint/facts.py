@@ -67,7 +67,7 @@ class CallSite:
     #: (``target=_worker_main`` -> {"target": "_worker_main"}).
     keywords: tuple[tuple[str, str], ...]
     #: Positional arguments that are bare names (callables passed
-    #: around, e.g. ``pool.map(_replay_group_in_fork, ...)``).
+    #: around, e.g. ``pool.map(_child_entry, ...)``).
     arg_names: tuple[str, ...]
 
 

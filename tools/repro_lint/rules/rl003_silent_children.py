@@ -24,8 +24,8 @@ dispatch (``ShardRebalanced``, ``WorkerRecycled``), never inside it.
 RL003 finds child entry points structurally: any function passed as the
 ``target=`` of a ``Process(...)`` construction, and any function passed
 by name into ``pool.map(...)`` / ``pool.submit(...)`` in a module that
-creates a multiprocessing context (the fork executor's
-``_replay_group_in_fork`` pattern).  From those roots it walks the
+creates a multiprocessing context (the ``pool.map(_child_entry, ...)``
+pattern).  From those roots it walks the
 lightweight call graph and flags every reachable call whose attribute
 chain ends in ``.emit``, plus direct ``EventBus(...).emit`` forms.
 
