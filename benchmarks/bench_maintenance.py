@@ -27,12 +27,14 @@ the repo root (via :func:`conftest.emit_json`).  Run directly::
     PYTHONPATH=src python benchmarks/bench_maintenance.py [--smoke]
 
 ``--smoke`` shrinks the storm so CI can assert the harness stays healthy
-in seconds.
+in seconds.  The payload records its host (``python``, ``generated_at``,
+``cpus``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -169,6 +171,7 @@ def run(updates: int = 10_000, rows: int = 4_000) -> dict:
         "benchmark": "maintenance",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": sys.version.split()[0],
+        "cpus": os.cpu_count() or 1,
         "update_storm": storm,
         "system_report": system_report,
     }

@@ -74,8 +74,9 @@ COLUMNAR_SPEEDUP_FLOOR = 3.0
 #: sharded storm on full (non-smoke) runs — the PR-7 acceptance gate.
 WORKERS_SPEEDUP_FLOOR = 3.0
 
-#: Host facts a full scheduler payload must record in its ``config``,
-#: so its timings can be read against the machine that produced them.
+#: Host facts a full scheduler payload must record in its ``config``
+#: (and a full maintenance payload at its top level), so its timings can
+#: be read against the machine that produced them.
 SCHEDULER_HOST_FIELDS = ("python", "generated_at", "cpus")
 
 #: Absolute ceiling of storm-time read p99 relative to idle read p99 on
@@ -272,6 +273,15 @@ def _invariant(condition: bool, message: str) -> None:
         raise BenchValidationError(message)
 
 
+def _require_host(record: dict, where: str) -> None:
+    """A full run's ``record`` must name its host (``SCHEDULER_HOST_FIELDS``)."""
+    missing = [key for key in SCHEDULER_HOST_FIELDS if key not in record]
+    _invariant(
+        not missing,
+        f"full run records no host {', '.join(missing)} in {where}",
+    )
+
+
 # ----------------------------------------------------------------------
 # Per-file validators
 # ----------------------------------------------------------------------
@@ -402,14 +412,7 @@ def validate_scheduler(payload: dict) -> None:
     # Smoke payloads run the lane at toy scale where pool overhead
     # dominates, so only the parity/shipping invariants apply there.
     if not is_smoke(payload):
-        config = payload.get("config", {})
-        missing = [
-            key for key in SCHEDULER_HOST_FIELDS if key not in config
-        ]
-        _invariant(
-            not missing,
-            f"full run records no host {', '.join(missing)} in config",
-        )
+        _require_host(payload.get("config", {}), "config")
         _invariant(
             sharded["workers_speedup"] >= WORKERS_SPEEDUP_FLOOR,
             f"workers speedup {sharded['workers_speedup']}x below the "
@@ -463,6 +466,8 @@ def validate_maintenance(payload: dict) -> None:
         storm["extents_equal"],
         "delta-plane extents diverged across representations",
     )
+    if not is_smoke(payload):
+        _require_host(payload, "payload")
     _require_system_report(payload, "BENCH_maintenance")
 
 

@@ -93,6 +93,7 @@ from repro.sync.scheduler import (
 )
 from repro.sync.synchronizer import ViewSynchronizer
 from repro.sync.vkb import ViewKnowledgeBase, ViewRecord
+from repro.maintenance.context import MaintenanceContext
 from repro.maintenance.counters import MaintenanceCounters
 from repro.maintenance.simulator import ViewMaintainer
 
@@ -242,6 +243,9 @@ class EVESystem:
         self.maintainer = ViewMaintainer(
             self.space, config=self.config.maintenance
         )
+        #: One compiled maintenance context per view, by view name;
+        #: see :meth:`_maintenance_context`.
+        self._maintenance_contexts: dict[str, MaintenanceContext] = {}
         #: True while :meth:`apply_updates` batches maintenance itself;
         #: the per-update listener backs off so updates are not
         #: propagated twice.
@@ -455,7 +459,10 @@ class EVESystem:
                 if extent is None:
                     continue
                 charged = self.maintainer.maintain(
-                    record.current, extent, update
+                    record.current,
+                    extent,
+                    update,
+                    context=self._maintenance_context(record),
                 )
                 if observed:
                     self.events.emit(
@@ -515,11 +522,15 @@ class EVESystem:
             work = pending.pop(view_name)
             record = self.vkb.record(view_name)
             extent = self._extents.mutable(view_name)
-            if not record.alive or extent is None:
+            if not record.alive:
+                self._maintenance_contexts.pop(view_name, None)
+                return
+            if extent is None:
                 return
             charged = self.maintainer.maintain_batch(
                 record.current, extent, work.updates,
                 relation_sizes=work.overlays(),
+                context=self._maintenance_context(record),
             )
             relations: list[str] = []
             for update in work.updates:
@@ -560,7 +571,7 @@ class EVESystem:
                     if work is None:
                         continue
                     if self._pending_joins_update(
-                        record.current, work, relation, row
+                        record, work, relation, row
                     ):
                         flush(record.name)
                     elif work.relations - {relation}:
@@ -626,9 +637,19 @@ class EVESystem:
     #: is always outcome-preserving; only batching opportunity is lost).
     _JOIN_ANALYSIS_LIMIT = 64
 
+    def _maintenance_context(self, record: ViewRecord) -> MaintenanceContext:
+        """The view's compiled maintenance context, recompiled only when
+        it no longer describes the view: a new current definition, or a
+        referenced relation whose schema or owning source changed."""
+        context = self._maintenance_contexts.get(record.name)
+        if context is None or not context.is_current(record.current):
+            context = self.maintainer.compile(record.current)
+            self._maintenance_contexts[record.name] = context
+        return context
+
     def _pending_joins_update(
         self,
-        view: ViewDefinition,
+        record: ViewRecord,
         work: "_PendingMaintenance",
         relation: str,
         row: tuple,
@@ -653,42 +674,28 @@ class EVESystem:
         foreign = [u for u in work.updates if u.relation != relation]
         if len(foreign) > self._JOIN_ANALYSIS_LIMIT:
             return True
-        condition = view.condition()
-        schema = self.space.relation(relation).schema
-        incoming = {
-            f"{relation}.{attr}": value
-            for attr, value in zip(schema.attribute_names, row)
-        }
-        for clause in condition.clauses:
-            relations = clause.relations()
-            if relations == {relation}:
-                # A failed local selection keeps the row out of every
-                # propagation of this view, whatever is pending.
-                if clause_decidable(clause, incoming) and not clause.evaluate(
-                    incoming
-                ):
-                    return False
+        context = self._maintenance_context(record)
+        incoming = dict(zip(context.columns(relation), row))
+        for clause in context.local_clauses(relation):
+            # A failed local selection keeps the row out of every
+            # propagation of this view, whatever is pending.
+            if clause_decidable(clause, incoming) and not clause.evaluate(
+                incoming
+            ):
+                return False
         for update in foreign:
-            seed_schema = self.space.relation(update.relation).schema
             binding = dict(incoming)
-            binding.update(
-                (f"{update.relation}.{attr}", value)
-                for attr, value in zip(
-                    seed_schema.attribute_names, update.row
-                )
-            )
+            binding.update(zip(context.columns(update.relation), update.row))
             # Any clause fully decidable over the (seed, incoming) pair
             # can exclude the candidate: a join edge between the two
             # relations, the incoming row's local selections, or the
             # seed's own local selections (a pruned seed has an empty
             # delta and reaches nothing).
-            for clause in condition.clauses:
-                relations = clause.relations()
-                if relations and relations <= {relation, update.relation}:
-                    if clause_decidable(
-                        clause, binding
-                    ) and not clause.evaluate(binding):
-                        break  # this pending delta cannot reach the row
+            for clause in context.edge_clauses(relation, update.relation):
+                if clause_decidable(clause, binding) and not clause.evaluate(
+                    binding
+                ):
+                    break  # this pending delta cannot reach the row
             else:
                 return True  # no edge excludes it: the row is reachable
         return False
@@ -1166,6 +1173,9 @@ class EVESystem:
         FROM relation): source visit order and, per joined relation,
         whether the delta probes a hash index or scans.
 
+        The itinerary is rendered from the view's maintenance context,
+        i.e. from the very plan the next flush of that relation runs.
+
         Returns a :class:`~repro.esql.explain.MaintenanceExplain`.
         """
         record = self.vkb.record(view_name)
@@ -1173,22 +1183,7 @@ class EVESystem:
             raise EvaluationError(
                 f"view {view_name!r} is undefined; nothing to explain"
             )
-        view = record.current
-        owners = {
-            name: self.space.owner_of(name).name
-            for name in view.relation_names
-        }
-        schemas = {
-            name: self.space.relation(name).schema
-            for name in view.relation_names
-        }
-        return explain_plans.explain_maintenance(
-            view,
-            owners,
-            schemas,
-            updated_relation,
-            config=self.config.maintenance,
-        )
+        return self._maintenance_context(record).explain(updated_relation)
 
     def _capture_evaluation_plans(
         self, results: "Sequence[SynchronizationResult]"
@@ -1245,7 +1240,7 @@ class EVESystem:
             record = self.vkb.record(flush.view)
             if not record.alive:
                 continue
-            view = record.current
+            context = self._maintenance_context(record)
             actual = {
                 "messages": flush.counters.messages,
                 "bytes_transferred": flush.counters.bytes_transferred,
@@ -1256,22 +1251,7 @@ class EVESystem:
                 if len(plans) >= PLAN_CAPTURE_LIMIT:
                     break
                 try:
-                    owners = {
-                        name: self.space.owner_of(name).name
-                        for name in view.relation_names
-                    }
-                    schemas = {
-                        name: self.space.relation(name).schema
-                        for name in view.relation_names
-                    }
-                    explained = explain_plans.explain_maintenance(
-                        view,
-                        owners,
-                        schemas,
-                        relation,
-                        config=self.config.maintenance,
-                        actual=actual,
-                    )
+                    explained = context.explain(relation, actual)
                 except Exception:  # noqa: BLE001 - best-effort EXPLAIN; plan dropped
                     continue
                 plans.append(explained.to_dict())

@@ -15,7 +15,8 @@ decisions as inspectable data:
   including column-kernel rows scanned/selected on the columnar plane.
 * :func:`explain_maintenance` renders Algorithm 1's itinerary for one
   update — source visit order and per-relation index-probe vs scan —
-  as a :class:`MaintenanceExplain`.
+  as a :class:`MaintenanceExplain`; :func:`maintenance_itinerary`
+  renders an already-built plan (the one a maintenance flush ran).
 
 Plans are pure descriptions: building one never materializes an extent
 or mutates any relation.  ``to_dict()`` is the stable wire form embedded
@@ -49,6 +50,7 @@ from repro.relational.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.config import EngineConfig
+    from repro.qc.cost import MaintenancePlan
     from repro.sync.optimizer import OptimizationReport, PlanHints
 
 __all__ = [
@@ -60,6 +62,7 @@ __all__ = [
     "clause_selectivity",
     "explain_maintenance",
     "explain_view",
+    "maintenance_itinerary",
 ]
 
 #: Access-path vocabulary; validators pin these strings.
@@ -563,7 +566,7 @@ def explain_view(
 # ----------------------------------------------------------------------
 # Maintenance plans (Algorithm 1 itineraries)
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class MaintenanceStep:
     """One relation visit of the Sec. 6.1 delta sweep."""
 
@@ -595,7 +598,7 @@ class MaintenanceStep:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaintenanceExplain:
     """Algorithm 1's itinerary for one update, as inspectable data.
 
@@ -671,14 +674,31 @@ def explain_maintenance(
     column every delta row already binds — the same
     :func:`~repro.space.source.probe_pair` test the delta plane applies.
     """
+    from repro.qc.cost import plan_for_view
+
+    resolved = ViewValidator(dict(schemas)).resolve_view(view)
+    plan = plan_for_view(resolved, dict(owners), updated_relation)
+    return maintenance_itinerary(resolved, plan, schemas, config, actual)
+
+
+def maintenance_itinerary(
+    resolved: ViewDefinition,
+    plan: "MaintenancePlan",
+    schemas: Mapping[str, Schema],
+    config=None,
+    actual: Mapping[str, int] | None = None,
+) -> MaintenanceExplain:
+    """Render an already-built maintenance ``plan`` of the resolved view.
+
+    The per-view maintenance context calls this with the very plan its
+    flushes run, so EXPLAIN never derives a second one.
+    """
     from repro.config import MaintenanceConfig
-    from repro.qc.cost import cf_messages, plan_for_view
+    from repro.qc.cost import cf_messages
     from repro.space.source import probe_pair
 
     if config is None:
         config = MaintenanceConfig()
-    resolved = ViewValidator(dict(schemas)).resolve_view(view)
-    plan = plan_for_view(resolved, dict(owners), updated_relation)
     clauses = [item.clause for item in resolved.where]
 
     bound: set[str] = {

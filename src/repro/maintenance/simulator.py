@@ -43,7 +43,11 @@ record byte-identical modeled CF_M/CF_T/CF_IO counters — enforced by
 pipeline: the view is resolved once, the maintenance plan is built once
 per (view, updated-relation) run, and provenance tags recover the
 per-update cardinalities every message/IO charge needs — so the batch
-path's counters equal the per-update loop's exactly.
+path's counters equal the per-update loop's exactly.  A caller that
+maintains the same view repeatedly passes a
+:class:`~repro.maintenance.context.MaintenanceContext` from
+:meth:`ViewMaintainer.compile`, and resolution and planning happen once
+for as long as the context stays current.
 """
 
 from __future__ import annotations
@@ -55,16 +59,16 @@ from collections.abc import Iterable, Mapping, Sequence
 from repro.config import MaintenanceConfig
 from repro.errors import MaintenanceError
 from repro.esql.ast import ViewDefinition
-from repro.esql.validate import ViewValidator
 from repro.misd.statistics import SpaceStatistics
-from repro.qc.cost import MaintenancePlan, plan_for_view
+from repro.qc.cost import MaintenancePlan
 from repro.relational.relation import Relation
 from repro.space.source import Binding, clause_decidable
 from repro.space.space import InformationSpace
 from repro.space.updates import DataUpdate, UpdateKind
 from repro.relational.columnar import KernelCounters
+from repro.maintenance.context import MaintenanceContext
 from repro.maintenance.counters import MaintenanceCounters
-from repro.maintenance.delta import ColumnBatch, DeltaBatch, seed_plan
+from repro.maintenance.delta import ColumnBatch, DeltaBatch
 
 #: Per-update relation-cardinality overlays for modeled-cost pricing:
 #: one mapping per update, consulted instead of the live catalog so a
@@ -106,23 +110,46 @@ class ViewMaintainer:
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
+    def compile(self, view: ViewDefinition) -> MaintenanceContext:
+        """A fresh :class:`~repro.maintenance.context.MaintenanceContext`
+        for ``view`` over this maintainer's space and configuration.
+
+        Pass it back to :meth:`maintain` / :meth:`maintain_batch` for as
+        long as ``context.is_current(view)`` holds to skip re-resolving
+        and re-planning the view on every call.
+        """
+        return MaintenanceContext(view, self._space, self.config)
+
+    def _context_for(
+        self, view: ViewDefinition, context: MaintenanceContext | None
+    ) -> MaintenanceContext:
+        if context is None:
+            return self.compile(view)
+        if context.definition is not view:
+            raise MaintenanceError(
+                f"maintenance context was compiled for another definition "
+                f"of view {context.definition.name!r}"
+            )
+        return context
+
     def maintain(
         self,
         view: ViewDefinition,
         extent: Relation,
         update: DataUpdate,
+        context: MaintenanceContext | None = None,
     ) -> MaintenanceCounters:
         """Bring ``extent`` up to date after ``update``; returns the
-        counters for this single update."""
-        if update.relation not in view.relation_names:
+        counters for this single update.  ``context`` (from
+        :meth:`compile`) reuses the view's resolution and plans."""
+        context = self._context_for(view, context)
+        if update.relation not in context.relations:
             raise MaintenanceError(
                 f"update at {update.relation!r} does not affect view "
                 f"{view.name!r}"
             )
         before = self.counters.snapshot()
-        resolved = self._resolve(view)
-        plan = self._plan(resolved, update.relation)
-        self._run(resolved, extent, plan, [update])
+        self._run(context, extent, context.plan(update.relation), [update])
         return self.counters.diff(before)
 
     def maintain_batch(
@@ -131,11 +158,14 @@ class ViewMaintainer:
         extent: Relation,
         updates: Iterable[DataUpdate],
         relation_sizes: SizeOverlays = None,
+        context: MaintenanceContext | None = None,
     ) -> MaintenanceCounters:
         """Stream a whole update batch through the compiled pipeline.
 
         The view is resolved once and the maintenance plan is built once
-        per (view, updated-relation) run; consecutive updates at the
+        per (view, updated-relation) run — or never, when a current
+        ``context`` from :meth:`compile` already holds them; consecutive
+        updates at the
         same relation propagate as one tagged
         :class:`~repro.maintenance.delta.DeltaBatch` whose provenance
         recovers per-update cardinalities, so the modeled counters are
@@ -160,9 +190,10 @@ class ViewMaintainer:
         catalog has since moved on.  ``None`` (or a ``None`` entry)
         prices against the live catalog.
         """
+        context = self._context_for(view, context)
         batch = list(updates)
         for update in batch:
-            if update.relation not in view.relation_names:
+            if update.relation not in context.relations:
                 raise MaintenanceError(
                     f"update at {update.relation!r} does not affect view "
                     f"{view.name!r}"
@@ -177,8 +208,6 @@ class ViewMaintainer:
             )
         before = self.counters.snapshot()
         if batch:
-            resolved = self._resolve(view)
-            plans: dict[str, MaintenancePlan] = {}
             for relation, run_iter in groupby(
                 enumerate(batch), key=lambda pair: pair[1].relation
             ):
@@ -189,15 +218,18 @@ class ViewMaintainer:
                     if overlays is not None
                     else None
                 )
-                plan = plans.get(relation)
-                if plan is None:
-                    plan = plans[relation] = self._plan(resolved, relation)
-                self._run(resolved, extent, plan, run_updates, run_overlays)
+                self._run(
+                    context,
+                    extent,
+                    context.plan(relation),
+                    run_updates,
+                    run_overlays,
+                )
         return self.counters.diff(before)
 
     def _run(
         self,
-        resolved: ViewDefinition,
+        context: MaintenanceContext,
         extent: Relation,
         plan: MaintenancePlan,
         updates: list[DataUpdate],
@@ -207,40 +239,24 @@ class ViewMaintainer:
         if self._representation == "dict":
             for position, update in enumerate(updates):
                 sizes = overlays[position] if overlays is not None else None
-                deltas = self._propagate(resolved, plan, update, sizes)
-                self._apply(resolved, extent, deltas, update.kind)
+                deltas = self._propagate(context, plan, update, sizes)
+                self._apply(context, extent, deltas, update.kind)
         else:
-            batch = self._propagate_tuples(resolved, plan, updates, overlays)
-            self._apply_batch(resolved, extent, batch, updates)
-
-    def _resolve(self, view: ViewDefinition) -> ViewDefinition:
-        schemas = {
-            name: self._space.relation(name).schema
-            for name in view.relation_names
-        }
-        return ViewValidator(schemas).resolve_view(view)
-
-    def _plan(
-        self, view: ViewDefinition, updated_relation: str
-    ) -> MaintenancePlan:
-        owners = {
-            name: self._space.owner_of(name).name
-            for name in view.relation_names
-        }
-        return plan_for_view(view, owners, updated_relation)
+            batch = self._propagate_tuples(context, plan, updates, overlays)
+            self._apply_batch(context, extent, batch, updates)
 
     # ------------------------------------------------------------------
     # Delta propagation (the Sec. 6.1 sweep) — binding plane
     # ------------------------------------------------------------------
     def _propagate(
         self,
-        view: ViewDefinition,
+        context: MaintenanceContext,
         plan: MaintenancePlan,
         update: DataUpdate,
         sizes: Mapping[str, int] | None = None,
     ) -> list[Binding]:
-        condition = view.condition()
-        updated_schema = self._space.relation(update.relation).schema
+        condition = context.condition
+        updated_schema = context.schema(update.relation)
         seed: Binding = {
             f"{update.relation}.{attr}": value
             for attr, value in zip(updated_schema.attribute_names, update.row)
@@ -271,8 +287,7 @@ class ViewMaintainer:
                 deltas, local, condition, use_index=self._use_index
             )
             for name in local:
-                schema = self._space.relation(name).schema
-                delta_width += schema.tuple_byte_size()
+                delta_width += context.schema(name).tuple_byte_size()
             # Ship the joined delta back to the warehouse.
             self.counters.record_message(len(deltas) * delta_width)
         return deltas
@@ -282,7 +297,7 @@ class ViewMaintainer:
     # ------------------------------------------------------------------
     def _propagate_tuples(
         self,
-        view: ViewDefinition,
+        context: MaintenanceContext,
         plan: MaintenancePlan,
         updates: list[DataUpdate],
         overlays: SizeOverlays = None,
@@ -297,10 +312,10 @@ class ViewMaintainer:
         per-update reference totals exactly (the counters are sums, so
         only the per-update quantities matter, not the interleaving).
         """
-        condition = view.condition()
+        condition = context.condition
         relation = plan.updated_relation
-        updated_schema = self._space.relation(relation).schema
-        splan = seed_plan(condition, relation, updated_schema)
+        updated_schema = context.schema(relation)
+        splan = context.seed(relation)
         rows: list[tuple] = []
         tags: list[int] = []
         for position, update in enumerate(updates):
@@ -351,8 +366,7 @@ class ViewMaintainer:
                     batch, local, condition, use_index=self._use_index
                 )
             for name in local:
-                schema = self._space.relation(name).schema
-                delta_width += schema.tuple_byte_size()
+                delta_width += context.schema(name).tuple_byte_size()
             counts = batch.counts_by_tag(len(updates))
             # Ship each update's joined delta back to the warehouse.
             for count in counts:
@@ -394,24 +408,24 @@ class ViewMaintainer:
     # ------------------------------------------------------------------
     def _apply(
         self,
-        view: ViewDefinition,
+        context: MaintenanceContext,
         extent: Relation,
         deltas: list[Binding],
         kind: UpdateKind,
     ) -> None:
-        keys = [str(item.ref) for item in view.select]
+        keys = [str(item.ref) for item in context.resolved.select]
         rows = [tuple(binding[key] for key in keys) for binding in deltas]
-        self._apply_rows(view, extent, rows, kind)
+        self._apply_rows(context.definition, extent, rows, kind)
 
     def _apply_batch(
         self,
-        view: ViewDefinition,
+        context: MaintenanceContext,
         extent: Relation,
         batch: "DeltaBatch | ColumnBatch",
         updates: list[DataUpdate],
     ) -> None:
         """Project once, then apply per update in stream order."""
-        keys = [str(item.ref) for item in view.select]
+        keys = [str(item.ref) for item in context.resolved.select]
         projected = batch.project(keys)
         if batch.tags is None:
             if batch.cardinality:
@@ -426,7 +440,7 @@ class ViewMaintainer:
             zip(tags, projected), key=lambda pair: pair[0]
         ):
             self._apply_rows(
-                view,
+                context.definition,
                 extent,
                 [row for _, row in group],
                 updates[tag].kind,

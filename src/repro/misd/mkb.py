@@ -56,6 +56,9 @@ class MetaKnowledgeBase:
         # knowledge the view synchronizer needs to find replacements.
         self._historical_join: list[JoinConstraint] = []
         self._historical_pc: list[PCConstraint] = []
+        #: Every relation some live or retired constraint names: renames
+        #: of anything else leave all four constraint lists untouched.
+        self._constrained: set[str] = set()
         self._dropped_schemas: dict[str, Schema] = {}
         self.statistics = statistics if statistics is not None else SpaceStatistics()
 
@@ -72,9 +75,7 @@ class MetaKnowledgeBase:
         """
         previous = self._dropped_schemas.get(relation)
         if previous is not None:
-            for attribute in previous:
-                if attribute.name not in schema:
-                    schema = schema.add_attribute(attribute)
+            schema = _merged(schema, previous)
         self._dropped_schemas[relation] = schema
 
     # ------------------------------------------------------------------
@@ -186,6 +187,9 @@ class MetaKnowledgeBase:
                         "in either relation"
                     )
         self._join_constraints.append(constraint)
+        self._constrained.update(
+            (constraint.left_relation, constraint.right_relation)
+        )
 
     def join_constraints(
         self, relation: str | None = None
@@ -224,6 +228,9 @@ class MetaKnowledgeBase:
         right = self._require(constraint.right.relation)
         constraint.check_against(left, right)
         self._pc_constraints.append(constraint)
+        self._constrained.update(
+            (constraint.left.relation, constraint.right.relation)
+        )
 
     def pc_constraints(
         self, relation: str | None = None
@@ -286,11 +293,7 @@ class MetaKnowledgeBase:
         snapshot = self._dropped_schemas.get(relation)
         if snapshot is None:
             return live
-        merged = live
-        for attribute in snapshot:
-            if attribute.name not in merged:
-                merged = merged.add_attribute(attribute)
-        return merged
+        return _merged(live, snapshot)
 
     def sync_pc_constraints(self, relation: str) -> tuple[PCConstraint, ...]:
         """Live + retired PC constraints involving ``relation``, oriented
@@ -405,6 +408,10 @@ class MetaKnowledgeBase:
         self._schemas[new] = schema.rename_relation(new)
         self._owners[new] = owner
         self.statistics.rename_relation(old, new)
+        if old not in self._constrained:
+            return
+        self._constrained.discard(old)
+        self._constrained.add(new)
 
         def rename_in_jc(jc: JoinConstraint) -> JoinConstraint:
             if not jc.involves(old):
@@ -500,6 +507,8 @@ class MetaKnowledgeBase:
         schema = self._require(relation)
         self._snapshot_schema(relation, schema)  # pre-change snapshot
         self._schemas[relation] = schema.rename_attribute(old, new)
+        if relation not in self._constrained:
+            return
         attribute_map = {old: new}
 
         def rename_in_jc(jc: JoinConstraint) -> JoinConstraint:
@@ -596,3 +605,12 @@ class MetaKnowledgeBase:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._schemas)
+
+
+def _merged(live: Schema, snapshot: Schema) -> Schema:
+    """``live`` plus the snapshot attributes it lacks, appended in
+    snapshot order — one construction however many are missing."""
+    extra = [attribute for attribute in snapshot if attribute.name not in live]
+    if not extra:
+        return live
+    return Schema(live.name, [*live.attributes, *extra])

@@ -42,6 +42,10 @@ class InformationSpace:
     def __init__(self, mkb: MetaKnowledgeBase | None = None) -> None:
         self.mkb = mkb if mkb is not None else MetaKnowledgeBase()
         self._sources: dict[str, InformationSource] = {}
+        #: Relation name -> the IS offering it, kept by every hosting,
+        #: unhosting and renaming path below so lookups are O(1).
+        #: Relations are hosted and unhosted only through this class.
+        self._hosts: dict[str, InformationSource] = {}
         self._change_listeners: list[ChangeListener] = []
         self._update_listeners: list[UpdateListener] = []
 
@@ -92,13 +96,22 @@ class InformationSpace:
         A relation the MKB rejects (its name is already registered) is
         unhosted again, so the source never offers it.
         """
-        source = self.source(source_name)
+        return self._host(self.source(source_name), relation, statistics)
+
+    def _host(
+        self,
+        source: InformationSource,
+        relation: Relation,
+        statistics: RelationStatistics | None = None,
+    ) -> Relation:
         hosted = source.host(relation)
         try:
-            self.mkb.register_relation(relation.schema, source_name, statistics)
+            self.mkb.register_relation(relation.schema, source.name, statistics)
         except ConstraintError:
+            # The name stays with whichever IS already offered it.
             source.catalog.remove(relation.name)
             raise
+        self._hosts[relation.name] = source
         return hosted
 
     # ------------------------------------------------------------------
@@ -106,16 +119,20 @@ class InformationSpace:
     # ------------------------------------------------------------------
     def owner_of(self, relation: str) -> InformationSource:
         """The IS currently offering ``relation``."""
-        for source in self._sources.values():
-            if source.offers(relation):
-                return source
-        raise UnknownRelationError(relation, "information space")
+        try:
+            return self._hosts[relation]
+        except KeyError:
+            raise UnknownRelationError(relation, "information space") from None
+
+    def host_of(self, relation: str) -> InformationSource | None:
+        """The IS currently offering ``relation``, or None."""
+        return self._hosts.get(relation)
 
     def relation(self, name: str) -> Relation:
         return self.owner_of(name).relation(name)
 
     def has_relation(self, name: str) -> bool:
-        return any(source.offers(name) for source in self._sources.values())
+        return name in self._hosts
 
     def relations(self) -> dict[str, Relation]:
         """Snapshot of every offered relation (name -> instance)."""
@@ -166,17 +183,17 @@ class InformationSpace:
         """
         source = self.source(change.source)
         if isinstance(change, AddRelation):
-            source.host(change.new_relation)
-            self.mkb.register_relation(
-                change.new_relation.schema, change.source
-            )
+            self._host(source, change.new_relation)
         elif isinstance(change, DeleteRelation):
             if not source.offers(change.relation):
                 raise UnknownRelationError(change.relation, f"IS {change.source!r}")
             source.catalog.remove(change.relation)
+            self._hosts.pop(change.relation, None)
             self.mkb.on_relation_deleted(change.relation)
         elif isinstance(change, RenameRelation):
             source.catalog.rename_relation(change.relation, change.new_name)
+            self._hosts.pop(change.relation, None)
+            self._hosts[change.new_name] = source
             self.mkb.on_relation_renamed(change.relation, change.new_name)
         elif isinstance(change, DeleteAttribute):
             source.catalog.drop_attribute(change.relation, change.attribute)

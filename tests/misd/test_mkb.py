@@ -196,6 +196,34 @@ class TestEvolution:
         assert mkb.pc_constraints("R")[0].left.attributes == ("A2",)
         assert mkb.check_consistency() == []
 
+    def test_attribute_rename_of_unconstrained_relation(self, mkb):
+        mkb.add_containment("R", "S", ["A"])
+        constraints = mkb.pc_constraints()
+        version = mkb.version
+        mkb.on_attribute_renamed("T", "D", "D2")
+        assert mkb.version == version + 1
+        assert mkb.schema("T").attribute_names == ("A", "D2")
+        assert mkb.historical_schema("T").attribute_names == ("A", "D2", "D")
+        assert mkb.pc_constraints() == constraints
+
+    def test_attribute_rename_after_relation_rename(self, mkb):
+        mkb.add_containment("R", "S", ["A"])
+        mkb.on_relation_deleted("S")  # retires the constraint
+        mkb.on_relation_renamed("R", "R2")
+        mkb.on_attribute_renamed("R2", "A", "A2")
+        (pc,) = mkb.sync_pc_constraints("R2")
+        assert pc.left.relation == "R2"
+        assert pc.left.attributes == ("A2",)
+
+    def test_snapshots_merge_in_first_seen_order(self, mkb):
+        mkb.on_attribute_renamed("R", "A", "A2")
+        mkb.on_attribute_deleted("R", "B")
+        mkb.on_attribute_renamed("R", "A2", "A3")
+        assert mkb.schema("R").attribute_names == ("A3",)
+        assert mkb.historical_schema("R").attribute_names == (
+            "A3", "A2", "B", "A",
+        )
+
     def test_historical_schema_unknown(self, mkb):
         with pytest.raises(UnknownRelationError):
             mkb.historical_schema("Zzz")

@@ -79,11 +79,17 @@ def run(tables, updates, deleted, **kwargs):
     """Update storm then capability-change batch; full fingerprint."""
     eve = build_eve(tables, **kwargs)
     stream = []
+    live = {}  # rows as the stream leaves them, so no row is deleted twice
     for index, kind, row in updates:
         for prefix in ("R", "M"):  # mirrors stay equivalent, like the ISs
             name = f"{prefix}{index}"
-            if kind == "delete" and row not in eve.space.relation(name).rows:
-                continue
+            rows = live.setdefault(name, list(eve.space.relation(name).rows))
+            if kind == "delete":
+                if row not in rows:
+                    continue
+                rows.remove(row)
+            else:
+                rows.append(row)
             stream.append((name, kind, row))
     maintenance = eve.apply_updates(stream)
     results = eve.apply_changes(

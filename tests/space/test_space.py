@@ -41,6 +41,7 @@ class TestRegistration:
         assert not space.source("IS2").offers("R")
         assert space.relation("R") is space.relations()["R"]
         assert space.relation("R").rows == [(1, 2)]
+        assert space.owner_of("R").name == "IS1"
         assert space.mkb.owner("R") == "IS1"
 
     def test_relations_snapshot(self, space):
@@ -88,6 +89,8 @@ class TestCapabilityChanges:
     def test_rename_relation(self, space):
         space.rename_relation("R", "R2")
         assert space.has_relation("R2")
+        assert not space.has_relation("R")
+        assert space.owner_of("R2").name == "IS1"
         assert "R2" in space.mkb and "R" not in space.mkb
 
     def test_rename_attribute(self, space):
@@ -99,7 +102,16 @@ class TestCapabilityChanges:
         new = Relation(Schema("T", ["X"]), [(1,)])
         space.apply_change(AddRelation("IS1", "T", new))
         assert space.has_relation("T")
+        assert space.relation("T") is new
         assert space.mkb.owner("T") == "IS1"
+
+    def test_rejected_add_relation_is_not_offered(self, space):
+        duplicate = Relation(Schema("R", ["A", "B"]), [(9, 9)])
+        with pytest.raises(ConstraintError):
+            space.apply_change(AddRelation("IS2", "R", duplicate))
+        assert not space.source("IS2").offers("R")
+        assert space.relations()["R"] is space.relation("R")
+        assert space.relation("R").rows == [(1, 2)]
 
     def test_add_attribute(self, space):
         space.apply_change(

@@ -97,6 +97,21 @@ class TestStructuralValidation:
             stripped["config"]["smoke"] = True
             validate_payload("scheduler", stripped)
 
+    def test_full_maintenance_runs_record_their_host(self):
+        payload = committed("maintenance")
+        payload["config"] = {"smoke": False}
+        for field in ("python", "generated_at", "cpus"):
+            payload.setdefault(field, "x")
+        validate_payload("maintenance", payload)
+        for field in ("python", "generated_at", "cpus"):
+            stripped = json.loads(json.dumps(payload))
+            del stripped[field]
+            with pytest.raises(BenchValidationError, match=field):
+                validate_payload("maintenance", stripped)
+            # Smoke payloads are not held to it.
+            stripped["config"]["smoke"] = True
+            validate_payload("maintenance", stripped)
+
     def test_workers_floor_gates_full_runs_only(self):
         payload = committed("scheduler")
         payload["config"]["smoke"] = False
